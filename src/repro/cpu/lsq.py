@@ -10,7 +10,10 @@ The queue keeps a running count of unissued stores so the
 conservative-disambiguation check is O(1) in the common all-issued
 state, and the forwarding scan walks the store deque in place (newest
 first, early exit at the load's own age) without building candidate
-lists.
+lists.  Both lookups return the store a waiting load is blocked behind,
+so the pipeline can park the load on that store instead of rescanning
+every cycle; :meth:`latest_overlapping_store` is the counter-free form
+of the forwarding scan for such probes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class LSQ:
         self.deferred = 0
         #: Stores in the queue that have not claimed an issue slot yet.
         #: Maintained by :meth:`insert` / :meth:`note_store_issued`;
-        #: lets :meth:`has_unissued_earlier_store` skip its scan when
+        #: lets :meth:`oldest_unissued_earlier_store` skip its scan when
         #: every queued store has already issued (the steady state).
         self._unissued_stores = 0
 
@@ -64,31 +67,27 @@ class LSQ:
         if entry.is_store:
             self._stores.popleft()
 
-    def has_unissued_earlier_store(self, load) -> bool:
-        """True when any store older than ``load`` has not issued yet —
-        the conservative-disambiguation stall condition."""
+    def oldest_unissued_earlier_store(self, load):
+        """The oldest store older than ``load`` that has not issued yet,
+        or ``None`` — the conservative-disambiguation stall condition."""
         if not self._unissued_stores:
-            return False
+            return None
         seq = load.seq
         for entry in self._stores:
             if entry.seq >= seq:
                 break
             if not entry.issued:
-                return True
-        return False
+                return entry
+        return None
 
     def state_summary(self) -> tuple:
         """Deterministic occupancy fingerprint for checkpoint summaries."""
         return (len(self._entries), len(self._stores),
                 self._unissued_stores, self.forwards, self.deferred)
 
-    def forwarding_store(self, load):
-        """Latest earlier store overlapping ``load``'s access, if any.
-
-        Returns ``(store_entry, resolved)``: ``resolved`` is False when the
-        store exists but has not issued yet, in which case the load must
-        wait (it may not bypass a store to the same address).
-        """
+    def latest_overlapping_store(self, load):
+        """Latest store older than ``load`` whose access overlaps it, or
+        ``None``.  Touches no counter."""
         lo = load.addr
         hi = lo + load.size
         seq = load.seq
@@ -97,9 +96,21 @@ class LSQ:
                 continue
             addr = entry.addr
             if addr < hi and lo < addr + entry.size:
-                if entry.issued:
-                    self.forwards += 1
-                    return entry, True
-                self.deferred += 1
-                return entry, False
-        return None, True
+                return entry
+        return None
+
+    def forwarding_store(self, load):
+        """Latest earlier store overlapping ``load``'s access, if any.
+
+        Returns ``(store_entry, resolved)``: ``resolved`` is False when the
+        store exists but has not issued yet, in which case the load must
+        wait (it may not bypass a store to the same address).
+        """
+        store = self.latest_overlapping_store(load)
+        if store is None:
+            return None, True
+        if store.issued:
+            self.forwards += 1
+            return store, True
+        self.deferred += 1
+        return store, False

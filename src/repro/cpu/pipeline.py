@@ -40,7 +40,7 @@ from ..params import CPUConfig
 from .func_units import FUPool
 from .interface import MemoryInterface
 from .lsq import LSQ
-from .ruu import RUU
+from .ruu import RUU, _entry_seq
 
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
@@ -112,6 +112,10 @@ class Pipeline:
         self._fetch_ready = 0
         self._fetched_line = None
         self._pending_loads = []
+        #: Alias-blocked loads (each one a ``lsq.deferred`` bump) in one
+        #: walk of a parked stalled bucket, as :meth:`next_event` last
+        #: dry-ran it; :meth:`note_skipped` replays it per skipped cycle.
+        self._parked_deferred = 0
         self._last_commit_cycle = 0
         self._predictor = self._build_predictor(config.branch_predictor)
         self._redirect_after = None  # branch entry fetch is waiting on
@@ -558,15 +562,29 @@ class Pipeline:
     def _issue_load(self, entry, now: int) -> bool:
         lsq = self.lsq
         if lsq._stores:
-            if (not self._oracle
-                    and lsq.has_unissued_earlier_store(entry)):
+            blocker = entry.blocker
+            if blocker is not None:
+                if blocker.seq < entry.seq and not blocker.issued:
+                    # Parked: still behind the same unissued store (an
+                    # older seq rules out a recycled entry), so the
+                    # scan below would fail the same way.
+                    if self._oracle:
+                        lsq.deferred += 1
+                    self.ruu.requeue(entry, now + 1)
+                    return False
+                entry.blocker = None
+            if not self._oracle:
                 # Conservative disambiguation: wait for every earlier
                 # store address to resolve before going to memory.
-                self.ruu.requeue(entry, now + 1)
-                return False
+                blocker = lsq.oldest_unissued_earlier_store(entry)
+                if blocker is not None:
+                    entry.blocker = blocker
+                    self.ruu.requeue(entry, now + 1)
+                    return False
             store, resolved = lsq.forwarding_store(entry)
             if not resolved:
                 # May not bypass an unissued same-address store; retry.
+                entry.blocker = store
                 self.ruu.requeue(entry, now + 1)
                 return False
             if store is not None:
@@ -743,12 +761,9 @@ class Pipeline:
                 return nxt
         bound = _INF
         ruu = self.ruu
-        # Inlined RUU.next_ready_time:
         heap = ruu._ready_heap
-        ready = heap[0][0] if heap else None
-        if ruu._stalled and (ready is None or ruu._stalled_retry < ready):
-            ready = ruu._stalled_retry
-        if ready is not None:
+        if heap:
+            ready = heap[0][0]
             if ready <= nxt:
                 return nxt
             bound = ready
@@ -780,7 +795,58 @@ class Pipeline:
                     return nxt  # fetch dispatches next cycle
         if self._trace_done and not window:
             return nxt  # drain handshake must run every cycle
+        if ruu._stalled and not self._bucket_parked():
+            return nxt
         return bound
+
+    def _bucket_parked(self) -> bool:
+        """Dry-run the next issue walk over the stalled bucket (no heap
+        entry is ready before the bound, so the walk sees the bucket
+        alone): True when every entry that would claim an FU slot is a
+        load parked behind an unissued store.
+
+        Such a walk issues nothing — a parked load claims its slot and
+        then fails, so it still crowds younger loads out of the class
+        limit, and every other entry is requeued unchanged — and the
+        state is frozen until the bound, so each cycle up to it walks
+        identically.  The only trace of a walk is one ``lsq.deferred``
+        bump per alias-blocked claimer (conservative-disambiguation
+        stalls count nothing); that count is stashed for
+        :meth:`note_skipped`.  Loads without a live blocker memo get one
+        from a side-effect-free LSQ probe, exactly what ``_issue_load``
+        would record on its next attempt.
+        """
+        stalled = self.ruu._stalled
+        limits = self.fus.limit_table
+        limit = limits[_LOAD]
+        if len(stalled) > limit:
+            # Only the oldest ``limit`` loads reach the FU check.
+            stalled = sorted(stalled, key=_entry_seq)
+        lsq = self.lsq
+        oracle = self._oracle
+        claimed = 0
+        for entry in stalled:
+            if not entry.is_load:
+                if limits[entry.op_class] > 0:
+                    return False  # it would issue
+                continue
+            if claimed >= limit:
+                continue  # requeued without claiming a slot
+            blocker = entry.blocker
+            if blocker is None or blocker.seq > entry.seq \
+                    or blocker.issued:
+                if oracle:
+                    blocker = lsq.latest_overlapping_store(entry)
+                    if blocker is not None and blocker.issued:
+                        blocker = None
+                else:
+                    blocker = lsq.oldest_unissued_earlier_store(entry)
+                if blocker is None:
+                    return False  # it would issue
+                entry.blocker = blocker
+            claimed += 1
+        self._parked_deferred = claimed if oracle else 0
+        return True
 
     def note_skipped(self, start: int, stop: int) -> None:
         """Replay stall accounting for skipped cycles ``[start, stop)``.
@@ -795,6 +861,13 @@ class Pipeline:
         if cycles <= 0 or self.done:
             return
         stats = self.stats
+        stats.cycles = stop
+        ruu = self.ruu
+        if ruu._stalled:
+            # Each skipped tick re-walked the parked bucket: it restamped
+            # the retry cycle and re-deferred the alias-blocked loads.
+            ruu._stalled_retry = stop
+            self.lsq.deferred += self._parked_deferred * cycles
         if self._redirect_after is not None:
             stats.fetch_stalls += cycles
             if self._tracer is not None:
@@ -807,7 +880,7 @@ class Pipeline:
             if self._tracer is not None:
                 self._trace_stall(start, "fetch", cycles)
             return
-        if self.ruu.is_full():
+        if ruu.is_full():
             stats.window_stalls += cycles
             if self._tracer is not None:
                 self._trace_stall(start, "window", cycles)

@@ -14,7 +14,11 @@ sits in neither the ready heap nor the stalled bucket), resolved (so
 ``dependents`` is ``None`` and it is not a pending load), and the
 ``_last_writer`` slot that may still name it is dropped at pop time
 (a committed producer's result time is always in the past, so the
-mapping could never again affect a later consumer).
+mapping could never again affect a later consumer).  A load's
+``blocker`` memo may still name a committed store whose entry was
+recycled; the memo is trusted only while that entry's ``seq`` is older
+than the load's, because a recycled entry is re-dispatched younger than
+every instruction still in the window.
 """
 
 from __future__ import annotations
@@ -34,12 +38,16 @@ def _entry_seq(entry) -> int:
 
 
 class RUUEntry:
-    """One in-flight instruction."""
+    """One in-flight instruction.
+
+    ``blocker`` memoizes, for a load that could not issue, the unissued
+    store it waits behind (see ``Pipeline._issue_load``)."""
 
     __slots__ = (
         "seq", "op_class", "dest", "addr", "size", "dispatched_at",
         "operand_time", "unresolved", "dependents", "issued", "issued_at",
         "result_time", "handle", "is_load", "is_store", "private",
+        "blocker",
     )
 
     def __init__(self, dyn, now: int):
@@ -66,6 +74,7 @@ class RUUEntry:
         self.is_load = op_class == _LOAD
         self.is_store = op_class == _STORE
         self.private = dyn.private
+        self.blocker = None
 
     @property
     def is_mem(self) -> bool:
@@ -130,6 +139,7 @@ class RUU:
             entry.is_load = op_class == _LOAD
             entry.is_store = op_class == _STORE
             entry.private = dyn.private
+            entry.blocker = None
         else:
             entry = RUUEntry(dyn, now)
             seq = entry.seq
@@ -178,11 +188,15 @@ class RUU:
     def schedulable(self, now: int):
         """Pop every entry whose operands are ready at ``now`` (ordered
         as the heap would order them: by ready time, then age); callers
-        re-queue entries they cannot issue."""
+        re-queue entries they cannot issue.
+
+        Drained stalled entries sort under key ``now`` — the retry cycle
+        dense ticking would have restamped on them — even when the
+        pipeline slept through cycles with a parked bucket and the
+        recorded retry is older."""
         stalled = None
         if self._stalled and self._stalled_retry <= now:
             stalled = self._stalled
-            retry = self._stalled_retry
             self._stalled = []
         if not self._stalled:
             # Requeues during this cycle's issue pass land in the bucket.
@@ -190,7 +204,7 @@ class RUU:
         heap = self._ready_heap
         if stalled is not None:
             if heap and heap[0][0] <= now:
-                merged = [(retry, entry.seq, entry) for entry in stalled]
+                merged = [(now, entry.seq, entry) for entry in stalled]
                 while heap and heap[0][0] <= now:
                     item = heapq.heappop(heap)
                     if not item[2].issued:
@@ -224,14 +238,6 @@ class RUU:
                 self._stalled_retry, len(self._last_writer),
                 self.window[0].seq if self.window else -1,
                 self.window[-1].seq if self.window else -1)
-
-    def next_ready_time(self):
-        """Earliest cycle any queued entry could be scheduled, or ``None``
-        when nothing is waiting to issue."""
-        ready = self._ready_heap[0][0] if self._ready_heap else None
-        if self._stalled and (ready is None or self._stalled_retry < ready):
-            return self._stalled_retry
-        return ready
 
     def pop_head(self) -> RUUEntry:
         """Remove and return the oldest entry (it must be committable).

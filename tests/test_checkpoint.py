@@ -58,6 +58,30 @@ def test_checkpoint_pickles_and_summary_is_stable():
         assert clone.describe()["kind"] == "datascalar"
 
 
+@pytest.mark.parametrize("workload", ["wave5", "tomcatv"])
+def test_boundary_summaries_match_between_dense_and_fast_forward(workload):
+    """At the same boundary, a fast-forward snapshot must describe the
+    same machine as a dense one: per-pipeline stats (``cycles``
+    included, also for a pipeline asleep at the boundary), RUU and LSQ
+    state (parked-load deferrals included), nodes and interconnect.
+    Only the scheduler's own ``wake``/``last_tick`` lists may differ."""
+    import dataclasses
+
+    program = build_program(workload)
+    summaries = {}
+    for fast_forward in (True, False):
+        config = dataclasses.replace(_config(4), fast_forward=fast_forward)
+        saved = []
+        DataScalarSystem(config).run(program, limit=LIMIT,
+                                     checkpoint_every=500,
+                                     checkpoint_sink=saved.append)
+        assert len(saved) == LIMIT // 500
+        # summary() = head (5 fields), pipelines, nodes, medium, page
+        # table, then the scheduler-only wake and last_tick.
+        summaries[fast_forward] = [ckpt.summary()[:-2] for ckpt in saved]
+    assert summaries[True] == summaries[False]
+
+
 def test_version_mismatch_refuses_restore():
     from repro.checkpoint import materialize
     from repro.errors import SimulationError

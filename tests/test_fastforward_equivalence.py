@@ -76,6 +76,36 @@ def test_fast_forward_matches_dense(workload, num_nodes, interconnect):
     assert _snapshot(fast) == _snapshot(dense)
 
 
+#: Store-bound kernels: most of their loads wait behind unissued
+#: stores, so fast-forward parks them and sleeps (``Pipeline.next_event``)
+#: where the other kernels never do.
+STORE_BOUND = ["tomcatv", "applu"]
+
+
+@pytest.mark.parametrize("workload", STORE_BOUND)
+def test_parked_loads_match_dense(workload):
+    program = build_program(workload)
+    fast_cfg = _config(4, "bus")
+    fast = DataScalarSystem(fast_cfg).run(program, limit=LIMIT)
+    dense = _DenseSystem(dataclasses.replace(
+        fast_cfg, fast_forward=False)).run(program, limit=LIMIT)
+    assert _snapshot(fast) == _snapshot(dense)
+
+
+def test_parked_loads_match_dense_conservative_disambiguation():
+    """Under conservative disambiguation a load parks on the oldest
+    unissued earlier store, whatever its address."""
+    program = build_program("tomcatv")
+    base = _config(4, "bus")
+    cpu = dataclasses.replace(base.node.cpu, oracle_disambiguation=False)
+    fast_cfg = dataclasses.replace(
+        base, node=dataclasses.replace(base.node, cpu=cpu))
+    fast = DataScalarSystem(fast_cfg).run(program, limit=LIMIT)
+    dense = _DenseSystem(dataclasses.replace(
+        fast_cfg, fast_forward=False)).run(program, limit=LIMIT)
+    assert _snapshot(fast) == _snapshot(dense)
+
+
 def test_observer_forces_dense_and_sees_every_cycle():
     """An installed observer disables skipping: it must be called for
     cycles 0..N-1 with no gaps, and the result still matches."""

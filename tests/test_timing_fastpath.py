@@ -112,20 +112,20 @@ def test_lsq_unissued_store_counter_tracks_lifecycle():
     for entry in (store0, load1, store2):
         lsq.insert(entry)
     assert lsq._unissued_stores == 2
-    assert lsq.has_unissued_earlier_store(load1)
+    assert lsq.oldest_unissued_earlier_store(load1) is store0
 
     store0.issued = True
     lsq.note_store_issued()
     assert lsq._unissued_stores == 1
     # The remaining unissued store (seq 2) is *younger* than the load,
     # so the O(1) counter alone must not force a stall.
-    assert not lsq.has_unissued_earlier_store(load1)
+    assert lsq.oldest_unissued_earlier_store(load1) is None
 
     store2.issued = True
     lsq.note_store_issued()
     assert lsq._unissued_stores == 0
     # Steady state: the check short-circuits without scanning.
-    assert not lsq.has_unissued_earlier_store(load1)
+    assert lsq.oldest_unissued_earlier_store(load1) is None
 
     lsq.release_head(store0)
     lsq.release_head(load1)
@@ -164,9 +164,10 @@ def test_lsq_counter_matches_brute_force_scan_under_random_traffic():
         assert lsq._unissued_stores == expected
         for probe in live:
             if probe.is_load:
-                brute = any(e.is_store and not e.issued
-                            and e.seq < probe.seq for e in live)
-                assert lsq.has_unissued_earlier_store(probe) == brute
+                brute = next((e for e in live if e.is_store
+                              and not e.issued and e.seq < probe.seq),
+                             None)
+                assert lsq.oldest_unissued_earlier_store(probe) is brute
 
 
 def _make_entry(ruu, seq, op_class, addr):
@@ -212,7 +213,9 @@ def test_fu_try_claim_enforces_per_class_per_cycle_limits():
 # next_event vs dense ticking (the deep-skip quiescence bound).
 # ----------------------------------------------------------------------
 
-_OPS = ["addi", "add", "mul", "lw", "sw"]
+#: ``div`` is the long-latency op: stores fed by it wait, and the loads
+#: behind those stores park.
+_OPS = ["addi", "add", "mul", "div", "lw", "sw"]
 
 
 def _random_program(rng):
@@ -228,6 +231,8 @@ def _random_program(rng):
             builder.add(reg, reg, "r15")
         elif op == "mul":
             builder.mul(reg, reg, reg)
+        elif op == "div":
+            builder.div(reg, reg, "r15")  # r15 is the nonzero buffer base
         elif op == "lw":
             builder.lw(reg, "r15", rng.randrange(0, 32) * 4)
         else:
@@ -288,32 +293,166 @@ def _drive_checking_bounds(pipeline, max_cycles=50_000):
     return now
 
 
+def _drive_skipping(pipeline, max_cycles=50_000):
+    """Tick only at ``next_event`` bounds, replaying each skipped range
+    with ``note_skipped`` — what the skip schedulers do.  Returns the
+    cycle count, the ticks made, and how many skips slept with loads
+    parked in the stalled bucket."""
+    now = ticks = parked_sleeps = 0
+    while True:
+        assert now < max_cycles, "bounded program failed to finish"
+        pipeline.tick(now)
+        ticks += 1
+        if pipeline.done:
+            return now + 1, ticks, parked_sleeps
+        stop = min(pipeline.next_event(now), max_cycles)
+        if stop > now + 1:
+            parked_sleeps += bool(pipeline.ruu._stalled)
+            pipeline.note_skipped(now + 1, stop)
+            now = stop
+        else:
+            now += 1
+
+
+def _final_state(pipeline):
+    """Every counter a run leaves behind, LSQ and RUU included."""
+    return (
+        {slot: getattr(pipeline.stats, slot)
+         for slot in pipeline.stats.__slots__},
+        pipeline.lsq.deferred, pipeline.lsq.forwards,
+        pipeline.lsq.state_summary(), pipeline.ruu.state_summary(),
+    )
+
+
+def _store_blocked_program(loads=12):
+    """A store whose data waits on a chain of divides, then more loads
+    than the load class has issue slots: two of every three read the
+    store's word (they may not bypass it), the rest the next word."""
+    builder = ProgramBuilder()
+    base = builder.alloc_global("buf", 64)
+    builder.li("r15", base)
+    builder.li("r1", 1000)
+    for _ in range(3):
+        builder.div("r1", "r1", "r15")
+    builder.sw("r1", "r15", 0)
+    for i in range(loads):
+        builder.lw(f"r{2 + i % 10}", "r15", 4 if i % 3 == 2 else 0)
+    builder.halt()
+    return builder.build()
+
+
+def test_blocker_memo_does_not_survive_recycling():
+    """A parked load's memo names its blocking store; once that store
+    commits, its entry object is recycled for a new (unissued, younger)
+    instruction, which must not keep the load parked."""
+    pipeline = Pipeline(CPUConfig(), PerfectMemory(), iter(()))
+    ruu, lsq = pipeline.ruu, pipeline.lsq
+    store = _make_entry(ruu, 0, OpClass.STORE, addr=64)
+    load = _make_entry(ruu, 1, OpClass.LOAD, addr=64)
+    younger = _make_entry(ruu, 2, OpClass.STORE, addr=128)
+    for entry in (store, load, younger):
+        lsq.insert(entry)
+    assert not pipeline._issue_load(load, 1)
+    assert load.blocker is store and lsq.deferred == 1
+
+    store.issued = True
+    store.issued_at = 1
+    lsq.note_store_issued()
+    ruu.resolve(store, 2)
+    lsq.release_head(store)
+    assert ruu.pop_head() is store
+    recycled = ruu.dispatch(_Dyn(3), now=3)
+    assert recycled is store and not recycled.issued
+
+    # Neither next_event's dry run over the bucket nor the retry itself
+    # may treat the recycled entry as the blocker.
+    ruu._stalled.append(load)
+    assert not pipeline._bucket_parked()
+    assert pipeline._issue_load(load, 3)
+    assert load.issued and lsq.deferred == 1
+
+
+@pytest.mark.parametrize("oracle", [True, False],
+                         ids=["oracle", "conservative"])
+def test_loads_parked_behind_a_store_sleep_and_replay_exactly(oracle):
+    """Loads waiting on an unissued store do not force a tick every
+    cycle: the pipeline sleeps with them parked in the stalled bucket,
+    and ``note_skipped`` replays the skipped walks (retry restamp,
+    per-cycle alias deferrals) so every counter matches dense ticking."""
+    program = _store_blocked_program()
+    cpu = CPUConfig(oracle_disambiguation=oracle)
+    assert cpu.fu_counts["AGEN"] < 12  # loads crowd each other out
+
+    dense = Pipeline(cpu, PerfectMemory(), Interpreter(program).trace())
+    cycles = 0
+    while not dense.done:
+        dense.tick(cycles)
+        cycles += 1
+
+    skipping = Pipeline(cpu, PerfectMemory(), Interpreter(program).trace())
+    skipped_cycles, ticks, parked_sleeps = _drive_skipping(skipping)
+
+    assert skipped_cycles == cycles
+    assert parked_sleeps and ticks < cycles // 2
+    assert _final_state(skipping) == _final_state(dense)
+    assert (dense.lsq.deferred > 0) == oracle
+
+
 @pytest.mark.parametrize("seed_block", range(4))
 def test_next_event_bound_matches_dense_ticking(seed_block):
-    """200 random (program, machine-shape) pairs: dense ticking must be
-    observationally idle strictly before every ``next_event`` bound,
-    and interleaving ``next_event`` with dense ticking (what the
-    fast-forward scheduler does every cycle) must not change one final
-    number vs a pure dense run."""
+    """200 random (program, machine-shape) pairs, each under oracle and
+    conservative disambiguation: dense ticking must be observationally
+    idle strictly before every ``next_event`` bound, and neither
+    interleaving ``next_event`` with dense ticking (what the
+    fast-forward scheduler does every cycle) nor skipping to each bound
+    with ``note_skipped`` may change one final number — stats, LSQ
+    forwards/deferrals, RUU occupancy — vs a pure dense run."""
     for seed in range(seed_block * 50, seed_block * 50 + 50):
         rng = random.Random(seed)
         program = _random_program(rng)
-        cpu = _random_cpu(rng)
+        shape = _random_cpu(rng)
+        for oracle in (True, False):
+            cpu = dataclasses.replace(shape, oracle_disambiguation=oracle)
+            where = f"seed {seed}, oracle={oracle}"
 
-        checked = Pipeline(cpu, PerfectMemory(),
-                           Interpreter(program).trace())
-        cycles = _drive_checking_bounds(checked)
+            checked = Pipeline(cpu, PerfectMemory(),
+                               Interpreter(program).trace())
+            cycles = _drive_checking_bounds(checked)
 
-        dense = Pipeline(cpu, PerfectMemory(),
-                         Interpreter(program).trace())
-        now = 0
-        while not dense.done:
-            dense.tick(now)
-            now += 1
-        assert cycles == now, f"seed {seed}: cycle count diverged"
-        for slot in dense.stats.__slots__:
-            assert getattr(checked.stats, slot) == getattr(
-                dense.stats, slot), f"seed {seed}: stats.{slot} diverged"
+            skipping = Pipeline(cpu, PerfectMemory(),
+                                Interpreter(program).trace())
+            skipped_cycles = _drive_skipping(skipping)[0]
+
+            dense = Pipeline(cpu, PerfectMemory(),
+                             Interpreter(program).trace())
+            now = 0
+            while not dense.done:
+                dense.tick(now)
+                now += 1
+            assert cycles == now, f"{where}: cycle count diverged"
+            assert skipped_cycles == now, f"{where}: skipping diverged"
+            expected = _final_state(dense)
+            assert _final_state(checked) == expected, where
+            assert _final_state(skipping) == expected, where
+
+
+def test_store_bound_nodes_sleep(monkeypatch):
+    """Regression on an exact, machine-independent count: tomcatv's
+    loads mostly wait behind unissued stores, and with them parked a
+    4-node run ticks about a tenth of its node-cycles (every one of
+    them when parked loads still forced a tick per cycle)."""
+    ticks = 0
+    tick = Pipeline.tick
+
+    def counting_tick(self, now):
+        nonlocal ticks
+        ticks += 1
+        return tick(self, now)
+
+    monkeypatch.setattr(Pipeline, "tick", counting_tick)
+    result = DataScalarSystem(datascalar_config(4)).run(
+        build_program("tomcatv"), limit=4000)
+    assert ticks / (result.cycles * 4) <= 0.25
 
 
 # ----------------------------------------------------------------------
