@@ -53,58 +53,43 @@ class PerfectSystem:
 
         The checkpoint arguments mirror
         :meth:`repro.core.DataScalarSystem.run` (kind ``"perfect"``)."""
+        from ..checkpoint import state as ckpt_state
         from ..isa.interpreter import Interpreter
         from ..obs import spans
 
-        checkpointing = (checkpoint_every is not None
-                         or checkpoint_sink is not None
-                         or resume_from is not None
-                         or stop_after is not None or warmup)
-        if not checkpointing:
-            trace = Interpreter(program).trace(limit=limit)
-            recorder = spans.active()
-            if recorder is not None:
-                trace = spans.timed_iter(
-                    trace,
-                    recorder.accumulator("frontend", under="timing-loop"))
-            pipeline = Pipeline(self.cpu_config, self.memory, trace)
-            with spans.span("timing-loop"):
-                return pipeline.run(max_cycles)
-
-        from ..checkpoint import state as ckpt_state
-        from ..errors import SimulationError
-        from ..isa.fanout import CountingTrace
-
+        ckpt_state.check_arguments("perfect", checkpoint_every,
+                                   checkpoint_sink, resume_from, stop_after,
+                                   warmup)
+        trace = Interpreter(program).trace(limit=limit)
         if resume_from is not None:
-            ckpt = resume_from
-            if ckpt.kind != "perfect":
-                raise SimulationError(
-                    f"cannot resume a {ckpt.kind!r} checkpoint on a "
-                    f"perfect system")
-            state = ckpt_state.materialize(ckpt)
+            state = ckpt_state.materialize(resume_from)
             pipeline = state["pipeline"]
-            memory = state["memory"]
-            self.memory = memory
-            cycle = ckpt.cycle
-            trace = CountingTrace(Interpreter(program).trace(limit=limit))
+            self.memory = state["memory"]
+            skipped = resume_from.consumed[0]
             with spans.span("frontend-replay"):
-                ckpt_state.advance_trace(trace, ckpt.consumed[0])
-            pipeline.rebind_trace(trace)
+                ckpt_state.advance_trace(trace, skipped)
+            skipped -= ckpt_state.frontend_position(pipeline)
+            cycle = resume_from.cycle
         else:
-            trace = CountingTrace(Interpreter(program).trace(limit=limit))
+            skipped = warmup or 0
             if warmup:
                 with spans.span("warmup"):
-                    ckpt_state.advance_trace(trace, warmup)
+                    ckpt_state.advance_trace(trace, warmup, warmup=True)
             pipeline = Pipeline(self.cpu_config, self.memory, trace)
-            memory = self.memory
             cycle = 0
+        recorder = spans.active()
+        if recorder is not None:
+            trace = spans.timed_iter(
+                trace, recorder.accumulator("frontend", under="timing-loop"))
+        pipeline.rebind_trace(trace)
+        watch = ckpt_state.single_pipeline_watch(
+            "perfect", pipeline, skipped,
+            {"pipeline": pipeline, "memory": self.memory},
+            checkpoint_every, checkpoint_sink, stop_after)
         with spans.span("timing-loop"):
-            stop_requested, cycle = ckpt_state.drive_single_pipeline(
-                "perfect", pipeline, cycle, max_cycles,
-                checkpoint_every, checkpoint_sink, stop_after,
-                lambda: {"pipeline": pipeline, "memory": memory},
-                trace,
+            ckpt_state.drive_single_pipeline(
+                pipeline, cycle, max_cycles, watch,
                 f"program did not finish in {max_cycles} cycles")
-        if stop_requested:
+        if watch is not None and watch.stopped:
             return None
         return pipeline.stats

@@ -6,14 +6,13 @@ single long run's shards across the sweep process pool.
 """
 
 from .state import (CHECKPOINT_VERSION, Checkpoint, advance_trace, capture,
-                    datascalar_cut_edges, materialize, pipeline_cut_edges)
+                    frontend_position, materialize)
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "advance_trace",
     "capture",
-    "datascalar_cut_edges",
+    "frontend_position",
     "materialize",
-    "pipeline_cut_edges",
 ]

@@ -50,11 +50,19 @@ class Broadcaster:
         """Emit BCAST_SEND events to ``tracer`` as this node."""
         self._tracer = tracer
 
+    def __getstate__(self) -> dict:
+        """Pickled state for checkpoints: everything but the delivery
+        closure (it closes over the live node list and wake array) and
+        the tracer hook.  Restore calls :meth:`rebind_deliver`."""
+        state = self.__dict__.copy()
+        state["_deliver"] = None
+        state["_tracer"] = None
+        return state
+
     def rebind_deliver(self, deliver) -> None:
         """Point the transmit side at a new delivery hook (checkpoint
-        restore: the hook is a closure over the live node list and wake
-        array, so it is cut from snapshots and rewired here against the
-        materialized clones)."""
+        restore: the hook is left out of snapshots and rewired here
+        against the materialized clones)."""
         self._deliver = deliver
 
     def broadcast(self, now: int, line: int, late: bool = False) -> int:

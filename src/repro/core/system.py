@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..checkpoint import state as ckpt_state
 from ..cpu.pipeline import DEADLOCK_CYCLES, Pipeline, PipelineStats
 from ..errors import ProtocolError, SimulationError
 from ..interconnect.medium import make_medium
@@ -114,6 +115,17 @@ class DataScalarSystem:
         """Build node ``node_id``'s dynamic stream (hook for subclasses)."""
         return Interpreter(program).trace(limit=limit)
 
+    def _layout_spec(self, replicated_pages, stack_bytes) -> LayoutSpec:
+        config = self.config
+        return LayoutSpec(
+            num_nodes=config.num_nodes,
+            page_size=config.node.memory.page_size,
+            distribution_block_pages=config.distribution_block_pages,
+            replicate_text=config.replicate_text,
+            replicated_pages=frozenset(replicated_pages),
+            stack_bytes=stack_bytes,
+        )
+
     def _make_medium(self):
         """Build the broadcast transport, wrapped for fault injection
         when ``config.faults`` is set (hook for tests that substitute a
@@ -192,69 +204,60 @@ class DataScalarSystem:
         * ``warmup=W`` skips the first W dynamic records functionally
           before timing starts (SimPoint-style sampling; the timed
           region starts with cold microarchitectural state, so results
-          are *not* comparable to a full run).
+          are *not* comparable to a full run).  It cannot be combined
+          with ``resume_from``.
 
-        Checkpoint-enabled runs are bit-identical to plain runs but take
-        the iterator-protocol front-end path (and pay a per-round commit
-        scan), so the hot specialized loop is untouched when none of
-        these arguments is given.  Observers and tracers hold references
-        into live simulator objects and cannot be checkpointed.
+        Checkpoint-enabled runs drive the same scheduler loops as plain
+        runs, with a per-round boundary check (a scan of the nodes'
+        committed counts), and are bit-identical to them.  Observers and
+        tracers hold references into live simulator objects and cannot
+        be checkpointed.
 
         With ``config.result_communication`` set, private regions are
         auto-detected and the run delegates to
         :class:`~repro.core.resultcomm_exec.ResultCommSystem`.
         """
-        if (checkpoint_every is not None or checkpoint_sink is not None
-                or resume_from is not None or stop_after is not None
-                or warmup):
+        from .node import DataScalarNode  # local import to avoid cycles
+
+        config = self.config
+        checkpointing = (checkpoint_every is not None
+                         or checkpoint_sink is not None
+                         or resume_from is not None
+                         or stop_after is not None or warmup)
+        if checkpointing:
             if observer is not None or tracer is not None:
                 raise SimulationError(
                     "checkpointing is incompatible with observer/tracer "
                     "hooks — they hold references into live run state")
-            return self._run_checkpointed(
-                program, replicated_pages, limit, stack_bytes,
-                checkpoint_every, checkpoint_sink, resume_from,
-                stop_after, warmup)
-        from .node import DataScalarNode  # local import to avoid cycles
-
-        config = self.config
-        if config.result_communication and type(self) is DataScalarSystem:
+            if config.result_communication:
+                raise SimulationError(
+                    "checkpointing does not support result-communication "
+                    "runs")
+            ckpt_state.check_arguments(
+                "datascalar", checkpoint_every, checkpoint_sink,
+                resume_from, stop_after, warmup)
+        elif config.result_communication and type(self) is DataScalarSystem:
             import dataclasses
 
             from .resultcomm_exec import ResultCommSystem, \
                 select_exec_regions
 
             plain = dataclasses.replace(config, result_communication=False)
-            spec = LayoutSpec(
-                num_nodes=config.num_nodes,
-                page_size=config.node.memory.page_size,
-                distribution_block_pages=config.distribution_block_pages,
-                replicate_text=config.replicate_text,
-                replicated_pages=frozenset(replicated_pages),
-                stack_bytes=stack_bytes,
-            )
-            table, _ = build_page_table(program, spec)
+            table, _ = build_page_table(
+                program, self._layout_spec(replicated_pages, stack_bytes))
             regions = select_exec_regions(program, table, limit=limit)
             return ResultCommSystem(plain, regions).run(
                 program, replicated_pages=replicated_pages, limit=limit,
                 stack_bytes=stack_bytes, observer=observer, tracer=tracer)
-        spec = LayoutSpec(
-            num_nodes=config.num_nodes,
-            page_size=config.node.memory.page_size,
-            distribution_block_pages=config.distribution_block_pages,
-            replicate_text=config.replicate_text,
-            replicated_pages=frozenset(replicated_pages),
-            stack_bytes=stack_bytes,
-        )
-        with spans.span("layout"):
-            page_table, layout_summary = build_page_table(program, spec)
-        medium = self._make_medium()
+        num = config.num_nodes
         nodes: "list[DataScalarNode]" = []
         # Per-pipeline wake cycles for the selective fast-forward loop
         # (see :meth:`_run_selective`).  A broadcast delivery is the one
         # way a peer creates work for an idle node, so the deliver hook
         # zeroes the target's wake to force a re-tick and a fresh bound.
-        wake = [0] * config.num_nodes
+        # (The hook reads ``nodes`` and ``wake`` at call time, so a
+        # restore that rebinds both is picked up.)
+        wake = [0] * num
 
         def deliver(src: int, line: int, arrivals) -> None:
             for node in nodes:
@@ -274,42 +277,78 @@ class DataScalarSystem:
                                     node.node_id, src=src, line=line)
                 plain_deliver(src, line, arrivals)
 
-        pipelines = []
-        # Trace sources are built *outside* the setup span so the
-        # codegen-compile phase (charged inside make_trace_source) and
-        # the timing-loop/frontend accumulator stay direct children of
-        # the point span rather than nesting under setup.
-        traces = self._make_traces(program, limit)
-        with spans.span("setup"):
-            for node_id in range(config.num_nodes):
-                if config.l2 is not None:
-                    from .node_l2 import DataScalarL2Node
-
-                    node = DataScalarL2Node(
-                        node_id, config.node, config.l2, page_table,
-                        medium, deliver, num_peers=config.num_nodes - 1)
-                else:
-                    node = DataScalarNode(
-                        node_id, config.node, page_table, medium,
-                        deliver, num_peers=config.num_nodes - 1)
-                nodes.append(node)
-                pipelines.append(
-                    Pipeline(config.node.cpu, node, traces[node_id],
-                             icache_line=config.node.icache.line_size))
-                if tracer is not None:
-                    pipelines[-1].attach_tracer(tracer, node_id)
-                    node.attach_tracer(tracer)
-            if tracer is not None and hasattr(medium, "attach_tracer"):
-                medium.attach_tracer(tracer)
-
-        # Fault mode arms the BSHR wait tripwire and teaches the
-        # idle-skip scheduler about medium-level recovery timers; with
-        # faults disabled neither hook exists and the loop is untouched.
         faulted = config.faults is not None
+        if resume_from is not None:
+            state = ckpt_state.materialize(resume_from)
+            pipelines = state["pipelines"]
+            nodes = state["nodes"]
+            medium = state["medium"]
+            page_table = state["page_table"]
+            layout_summary = state["layout_summary"]
+            wake = state["wake"]
+            last_tick = state["last_tick"]
+            cycle = resume_from.cycle
+            # Rebuild the functional front end exactly as a fresh run
+            # would (same engine, same fan-out) and replay it to the
+            # recorded per-node positions; this also reconstructs the
+            # fan-out tee queues record for record.
+            traces = self._make_traces(program, limit)
+            with spans.span("frontend-replay"):
+                for trace, count in zip(traces, resume_from.consumed):
+                    ckpt_state.advance_trace(trace, count)
+            for pipeline, trace in zip(pipelines, traces):
+                pipeline.rebind_trace(trace)
+            for node in nodes:
+                node.broadcaster.rebind_deliver(deliver)
+        else:
+            spec = self._layout_spec(replicated_pages, stack_bytes)
+            with spans.span("layout"):
+                page_table, layout_summary = build_page_table(program, spec)
+            medium = self._make_medium()
+            pipelines = []
+            # Trace sources are built *outside* the setup span so the
+            # codegen-compile phase (charged inside make_trace_source)
+            # and the timing-loop/frontend accumulator stay direct
+            # children of the point span rather than nesting under setup.
+            traces = self._make_traces(program, limit)
+            if warmup:
+                with spans.span("warmup"):
+                    for trace in traces:
+                        ckpt_state.advance_trace(trace, warmup, warmup=True)
+            with spans.span("setup"):
+                for node_id in range(num):
+                    if config.l2 is not None:
+                        from .node_l2 import DataScalarL2Node
+
+                        node = DataScalarL2Node(
+                            node_id, config.node, config.l2, page_table,
+                            medium, deliver, num_peers=num - 1)
+                    else:
+                        node = DataScalarNode(
+                            node_id, config.node, page_table, medium,
+                            deliver, num_peers=num - 1)
+                    nodes.append(node)
+                    pipelines.append(
+                        Pipeline(config.node.cpu, node, traces[node_id],
+                                 icache_line=config.node.icache.line_size))
+                    if tracer is not None:
+                        pipelines[-1].attach_tracer(tracer, node_id)
+                        node.attach_tracer(tracer)
+                if tracer is not None and hasattr(medium, "attach_tracer"):
+                    medium.attach_tracer(tracer)
+            cycle = 0
+            last_tick = [0] * num  # first cycle not yet stall-accounted
+            # Fault mode arms the BSHR wait tripwire (a restored node
+            # carries its armed deadline in the snapshot).
+            if faulted:
+                for node in nodes:
+                    node.bshr.arm_timeout(config.faults.wait_deadline)
+
+        # The idle-skip scheduler learns about medium-level recovery
+        # timers in fault mode; with faults disabled the hook does not
+        # exist and the loop is untouched.
         extra_event = None
         if faulted:
-            for node in nodes:
-                node.bshr.arm_timeout(config.faults.wait_deadline)
             extra_event = self._fault_event_fn(nodes, medium)
         if tracer is not None:
             # A sampling tracer bounds idle-skip to its sample cycles;
@@ -350,10 +389,17 @@ class DataScalarSystem:
         # Dense per-cycle ticking is required whenever an observer wants
         # to see every cycle; otherwise skip provably idle cycle ranges.
         fast_forward = config.fast_forward and observer is None
-        cycle = 0
+        selective = fast_forward and not faulted and tracer is None
+        watch = None
+        if checkpoint_every is not None or stop_after is not None:
+            watch = self._boundary_watch(
+                pipelines, nodes, medium, page_table, layout_summary, wake,
+                last_tick, selective, resume_from, warmup,
+                checkpoint_every, checkpoint_sink, stop_after)
         with spans.span("timing-loop"):
-            if fast_forward and not faulted and tracer is None:
-                cycle = self._run_selective(pipelines, ticks, wake, config)
+            if selective:
+                cycle = self._run_selective(pipelines, ticks, wake, config,
+                                            cycle, last_tick, watch)
             else:
                 while not all(p.done for p in pipelines):
                     if cycle >= config.max_cycles:
@@ -374,309 +420,66 @@ class DataScalarSystem:
                         tick(cycle)
                     if observer is not None:
                         observer(cycle, pipelines, nodes, medium)
+                    if watch is not None and watch(cycle + 1):
+                        break
                     if fast_forward:
                         cycle = self._advance(cycle, pipelines, config,
                                               extra_event)
                     else:
                         cycle += 1
 
-        with spans.span("analysis"):
-            return self._collect(cycle, pipelines, nodes, medium,
-                                 page_table, layout_summary)
-
-    def _run_checkpointed(self, program, replicated_pages, limit,
-                          stack_bytes, checkpoint_every, checkpoint_sink,
-                          resume_from, stop_after, warmup):
-        """The checkpoint-enabled twin of :meth:`run`.
-
-        Same simulation, same results, two extra abilities: start from a
-        :class:`~repro.checkpoint.Checkpoint` instead of cycle 0, and
-        capture checkpoints at committed-instruction boundaries.  Kept
-        separate so the plain path's specialized loops (queue-fast-path
-        fetch, no per-round commit scans) stay byte-for-byte untouched.
-
-        Capture happens after every tick of a cycle ``c`` and records
-        ``cycle = c + 1`` — the next cycle to simulate.  On the
-        selective (per-pipeline idle-skip) path, pipelines that were not
-        ticked at ``c`` have their deferred stall accounting flushed
-        first, so the snapshot is position-complete; the flush splits a
-        ``note_skipped`` range in two, which is exact because a skipped
-        pipeline's fetch state is frozen between real ticks (every
-        skipped cycle classifies identically no matter when it is
-        replayed).
-        """
-        from .node import DataScalarNode  # local import to avoid cycles
-
-        from ..checkpoint import state as ckpt_state
-        from ..isa.fanout import CountingTrace
-
-        config = self.config
-        if config.result_communication:
-            raise SimulationError(
-                "checkpointing does not support result-communication runs")
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise SimulationError("checkpoint_every must be >= 1")
-            if checkpoint_sink is None:
-                raise SimulationError(
-                    "checkpoint_every requires a checkpoint_sink")
-        num = config.num_nodes
-        faulted = config.faults is not None
-
-        nodes = []
-        wake = [0] * num
-
-        # Same delivery hook as the plain path; defined up front so both
-        # the fresh-build and restore paths close over the *final*
-        # ``nodes``/``wake`` bindings (closures read the enclosing
-        # locals at call time).
-        def deliver(src: int, line: int, arrivals) -> None:
-            for node in nodes:
-                arrival = arrivals[node.node_id]
-                if arrival is not None:
-                    node.bshr.arrival(arrival, line)
-                    wake[node.node_id] = 0
-
-        if resume_from is not None:
-            ckpt = resume_from
-            if ckpt.kind != "datascalar":
-                raise SimulationError(
-                    f"cannot resume a {ckpt.kind!r} checkpoint on a "
-                    f"DataScalar system")
-            state = ckpt_state.materialize(ckpt)
-            pipelines = state["pipelines"]
-            nodes = state["nodes"]
-            medium = state["medium"]
-            page_table = state["page_table"]
-            layout_summary = state["layout_summary"]
-            wake = state["wake"]
-            last_tick = state["last_tick"]
-            cycle = ckpt.cycle
-            # Rebuild the functional front end exactly as a fresh run
-            # would (same engine, same fan-out) and replay it to the
-            # recorded per-node positions; this also reconstructs the
-            # fan-out tee queues record for record.
-            traces = [CountingTrace(t)
-                      for t in self._make_traces(program, limit)]
-            with spans.span("frontend-replay"):
-                for trace, count in zip(traces, ckpt.consumed):
-                    ckpt_state.advance_trace(trace, count)
-            for pipeline, trace in zip(pipelines, traces):
-                pipeline.rebind_trace(trace)
-            for node in nodes:
-                node.broadcaster.rebind_deliver(deliver)
-        else:
-            spec = LayoutSpec(
-                num_nodes=num,
-                page_size=config.node.memory.page_size,
-                distribution_block_pages=config.distribution_block_pages,
-                replicate_text=config.replicate_text,
-                replicated_pages=frozenset(replicated_pages),
-                stack_bytes=stack_bytes,
-            )
-            with spans.span("layout"):
-                page_table, layout_summary = build_page_table(program, spec)
-            medium = self._make_medium()
-            traces = [CountingTrace(t)
-                      for t in self._make_traces(program, limit)]
-            if warmup:
-                with spans.span("warmup"):
-                    for trace in traces:
-                        ckpt_state.advance_trace(trace, warmup)
-            pipelines = []
-            with spans.span("setup"):
-                for node_id in range(num):
-                    if config.l2 is not None:
-                        from .node_l2 import DataScalarL2Node
-
-                        node = DataScalarL2Node(
-                            node_id, config.node, config.l2, page_table,
-                            medium, deliver, num_peers=num - 1)
-                    else:
-                        node = DataScalarNode(
-                            node_id, config.node, page_table, medium,
-                            deliver, num_peers=num - 1)
-                    nodes.append(node)
-                    pipelines.append(
-                        Pipeline(config.node.cpu, node, traces[node_id],
-                                 icache_line=config.node.icache.line_size))
-            cycle = 0
-            last_tick = [0] * num
-            if faulted:
-                for node in nodes:
-                    node.bshr.arm_timeout(config.faults.wait_deadline)
-
-        extra_event = None
-        if faulted:
-            extra_event = self._fault_event_fn(nodes, medium)
-
-        recorder = spans.active()
-        fault_acc = None
-        if faulted and recorder is not None:
-            fault_acc = recorder.accumulator("fault-recovery",
-                                             under="timing-loop")
-        stage_accs = None
-        if recorder is not None:
-            stage_accs = (
-                recorder.accumulator("commit", under="timing-loop"),
-                recorder.accumulator("memory", under="timing-loop"),
-                recorder.accumulator("issue", under="timing-loop"),
-            )
-            for pipeline in pipelines:
-                pipeline.attach_stage_accumulators(stage_accs)
-        ticks = [p.tick_spanned if stage_accs is not None else p.tick
-                 for p in pipelines]
-
-        next_boundary = None
-        if checkpoint_every is not None:
-            start_committed = min(p.stats.committed for p in pipelines)
-            next_boundary = ((start_committed // checkpoint_every + 1)
-                             * checkpoint_every)
-
-        def take_checkpoint(cycle_pos: int, boundary: int):
-            tree = {
-                "pipelines": pipelines, "nodes": nodes, "medium": medium,
-                "page_table": page_table, "layout_summary": layout_summary,
-                "wake": list(wake), "last_tick": list(last_tick),
-            }
-            return ckpt_state.capture(
-                "datascalar", cycle_pos,
-                min(p.stats.committed for p in pipelines), tree,
-                cut=ckpt_state.datascalar_cut_edges(pipelines, nodes),
-                consumed=[t.consumed for t in traces],
-                meta={"boundary": boundary})
-
-        def emit_checkpoints(cycle_pos: int, min_committed: int) -> bool:
-            """Deliver every boundary the run just crossed (wide commit
-            rounds can cross several at once — each nominal boundary
-            gets its own capture so warm-start lookups by boundary
-            always land); True = ``stop_after`` reached."""
-            nonlocal next_boundary
-            while next_boundary is not None and min_committed >= next_boundary:
-                checkpoint_sink(take_checkpoint(cycle_pos, next_boundary))
-                next_boundary += checkpoint_every
-            if stop_after is not None and min_committed >= stop_after:
-                checkpoint_sink(take_checkpoint(cycle_pos, stop_after))
-                return True
-            return False
-
-        watching = next_boundary is not None or stop_after is not None
-        max_cycles = config.max_cycles
-        stop_requested = False
-        with spans.span("timing-loop"):
-            if config.fast_forward and not faulted:
-                # The selective per-pipeline idle-skip loop
-                # (:meth:`_run_selective`) with a boundary check per
-                # round.
-                running = sum(1 for p in pipelines if not p.done)
-                while running:
-                    if cycle >= max_cycles:
-                        raise SimulationError(
-                            f"DataScalar run exceeded {max_cycles} cycles"
-                        )
-                    for i in range(num):
-                        pipeline = pipelines[i]
-                        if pipeline.done or wake[i] > cycle:
-                            continue
-                        start = last_tick[i]
-                        if start < cycle:
-                            pipeline.note_skipped(start, cycle)
-                        ticks[i](cycle)
-                        last_tick[i] = cycle + 1
-                        if pipeline.done:
-                            running -= 1
-                        else:
-                            wake[i] = pipeline.next_event(cycle)
-                    if watching:
-                        min_committed = min(p.stats.committed
-                                            for p in pipelines)
-                        crossed = (
-                            (next_boundary is not None
-                             and min_committed >= next_boundary)
-                            or (stop_after is not None
-                                and min_committed >= stop_after))
-                        if crossed:
-                            # Flush deferred stall accounting for the
-                            # pipelines that were not ticked this round
-                            # so the snapshot's position is complete.
-                            for i in range(num):
-                                pipeline = pipelines[i]
-                                if not pipeline.done \
-                                        and last_tick[i] <= cycle:
-                                    pipeline.note_skipped(last_tick[i],
-                                                          cycle + 1)
-                                    last_tick[i] = cycle + 1
-                            if emit_checkpoints(cycle + 1, min_committed):
-                                stop_requested = True
-                                break
-                    if not running:
-                        # Match the dense loop's exit value (one advance
-                        # past the finishing tick).
-                        cycle += 1
-                        break
-                    nxt = cycle + 1
-                    target = _INF
-                    for i in range(num):
-                        if pipelines[i].done:
-                            continue
-                        event = wake[i]
-                        if event <= nxt:
-                            target = nxt
-                            break
-                        if event < target:
-                            target = event
-                    if target == _INF:
-                        target = min(p._last_commit_cycle
-                                     + DEADLOCK_CYCLES + 1
-                                     for p in pipelines if not p.done)
-                        for i in range(num):
-                            if not pipelines[i].done and wake[i] > target:
-                                wake[i] = target
-                    if target > max_cycles:
-                        target = max_cycles
-                    if target < nxt:
-                        target = nxt
-                    cycle = int(target)
-            else:
-                # The dense / fault-mode loop.  ``_advance`` replays
-                # stall accounting eagerly at jump time, so positions
-                # are always complete after a tick round — no flush
-                # needed before capture.
-                while not all(p.done for p in pipelines):
-                    if cycle >= max_cycles:
-                        raise SimulationError(
-                            f"DataScalar run exceeded {max_cycles} cycles"
-                        )
-                    if faulted:
-                        if fault_acc is not None:
-                            tick0 = time.perf_counter()
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                            fault_acc.add(time.perf_counter() - tick0)
-                        else:
-                            for node in nodes:
-                                node.bshr.check_timeouts(cycle)
-                    for tick in ticks:
-                        tick(cycle)
-                    if watching:
-                        for i in range(num):
-                            last_tick[i] = cycle + 1
-                        min_committed = min(p.stats.committed
-                                            for p in pipelines)
-                        if emit_checkpoints(cycle + 1, min_committed):
-                            stop_requested = True
-                            break
-                    if config.fast_forward:
-                        cycle = self._advance(cycle, pipelines, config,
-                                              extra_event)
-                    else:
-                        cycle += 1
-
-        if stop_requested:
+        if watch is not None and watch.stopped:
             return None
         with spans.span("analysis"):
             return self._collect(cycle, pipelines, nodes, medium,
                                  page_table, layout_summary)
+
+    @staticmethod
+    def _boundary_watch(pipelines, nodes, medium, page_table,
+                        layout_summary, wake, last_tick, selective,
+                        resume_from, warmup, checkpoint_every,
+                        checkpoint_sink, stop_after):
+        """The run's :class:`~repro.checkpoint.state.BoundaryWatch`.
+
+        Capture happens after every tick of a cycle ``c`` and records
+        ``cycle = c + 1``, the next cycle to simulate.  On the selective
+        (per-pipeline idle-skip) path, pipelines that were not ticked at
+        ``c`` have their deferred stall accounting flushed first, so the
+        snapshot is position-complete; the flush splits a
+        ``note_skipped`` range in two, which is exact because a skipped
+        pipeline's fetch state is frozen between real ticks (every
+        skipped cycle classifies identically no matter when it is
+        replayed).  The dense loop's ``_advance`` replays stall
+        accounting eagerly at jump time, so it needs no flush.
+        """
+        position = ckpt_state.frontend_position
+        # Records each node's front end passed before its pipeline saw
+        # any: the warm-up, or whatever the resumed checkpoint's own
+        # positions say beyond its restored machine state.
+        if resume_from is not None:
+            skipped = [count - position(p)
+                       for count, p in zip(resume_from.consumed, pipelines)]
+        else:
+            skipped = [warmup or 0] * len(pipelines)
+
+        def snapshot(cycle: int):
+            for i, pipeline in enumerate(pipelines):
+                if not selective:
+                    last_tick[i] = cycle
+                elif not pipeline.done and last_tick[i] < cycle:
+                    pipeline.note_skipped(last_tick[i], cycle)
+                    last_tick[i] = cycle
+            tree = {
+                "pipelines": pipelines, "nodes": nodes, "medium": medium,
+                "page_table": page_table, "layout_summary": layout_summary,
+                "wake": wake, "last_tick": last_tick,
+            }
+            return tree, [base + position(p)
+                          for base, p in zip(skipped, pipelines)]
+
+        return ckpt_state.BoundaryWatch(
+            "datascalar", [p.stats for p in pipelines], snapshot,
+            checkpoint_every, checkpoint_sink, stop_after)
 
     @staticmethod
     def _chain_events(first, second):
@@ -721,7 +524,8 @@ class DataScalarSystem:
         return fault_event
 
     @staticmethod
-    def _run_selective(pipelines, ticks, wake, config) -> int:
+    def _run_selective(pipelines, ticks, wake, config, cycle, last_tick,
+                       watch=None) -> int:
         """Drive the timing loop with *per-pipeline* idle skipping (the
         plain fast-forward path: no faults, no tracer, no observer).
 
@@ -745,12 +549,15 @@ class DataScalarSystem:
         event at all (``next_event`` = inf — wedged waiting on a peer)
         is woken at its deadlock-detection tick once no peer has an
         earlier event, so protocol hangs still surface as typed errors.
+
+        The loop starts at ``cycle``; ``last_tick[i]`` is the first
+        cycle pipeline ``i`` has not stall-accounted yet.  ``watch``
+        (checkpointed runs) is called after every round with the next
+        cycle and ends the loop when it returns True.
         """
         max_cycles = config.max_cycles
         num = len(pipelines)
-        last_tick = [0] * num  # first cycle not yet stall-accounted
-        running = num
-        cycle = 0
+        running = sum(1 for p in pipelines if not p.done)
         while running:
             if cycle >= max_cycles:
                 raise SimulationError(
@@ -769,6 +576,8 @@ class DataScalarSystem:
                     running -= 1
                 else:
                     wake[i] = pipeline.next_event(cycle)
+            if watch is not None and watch(cycle + 1):
+                return cycle + 1
             if not running:
                 # Match the dense loop's exit value: it advances once
                 # more after the tick that finished the last pipeline.

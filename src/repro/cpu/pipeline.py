@@ -50,6 +50,11 @@ _INF = float("inf")
 #: Cycles with no commit before the pipeline declares itself wedged.
 DEADLOCK_CYCLES = 1_000_000
 
+#: Pipeline attributes a checkpoint leaves out (see
+#: :meth:`Pipeline.__getstate__`).
+_LIVE_EDGES = ("_trace", "_trace_next", "_trace_queue", "_tracer",
+               "_stage_accs")
+
 
 class PipelineStats:
     """Counters published by one core."""
@@ -141,6 +146,16 @@ class Pipeline:
         span accumulators; callers then drive :meth:`tick_spanned`
         instead of :meth:`tick`.  Purely observational."""
         self._stage_accs = accumulators
+
+    def __getstate__(self) -> dict:
+        """Pickled state for checkpoints: everything but the live trace
+        (a generator or fan-out view, its bound ``__next__`` and queue)
+        and the observability hooks.  Restore calls
+        :meth:`rebind_trace` and re-attaches hooks as a fresh run does."""
+        state = self.__dict__.copy()
+        for name in _LIVE_EDGES:
+            state[name] = None
+        return state
 
     def rebind_trace(self, trace) -> None:
         """Point the fetch stage at a rebuilt front-end iterator

@@ -104,6 +104,239 @@ def test_stop_after_emits_final_checkpoint_and_returns_none():
     assert saved and saved[-1].committed >= 600
 
 
+def test_stop_after_on_a_boundary_is_captured_once():
+    saved = []
+    out = DataScalarSystem(_config()).run(build_program("compress"),
+                                          limit=LIMIT, checkpoint_every=500,
+                                          checkpoint_sink=saved.append,
+                                          stop_after=1000)
+    assert out is None
+    assert [ckpt.meta["boundary"] for ckpt in saved] == [500, 1000]
+
+
+def test_stop_after_at_or_below_resume_point_is_rejected():
+    from repro.errors import SimulationError
+
+    config = _config()
+    program = build_program("compress")
+    start = _checkpoints(config, every=1500)[0]
+    assert start.meta["boundary"] == 1500
+    for stop_after in (500, start.committed):
+        saved = []
+        with pytest.raises(SimulationError, match="stop_after"):
+            DataScalarSystem(config).run(program, limit=LIMIT,
+                                         resume_from=start,
+                                         stop_after=stop_after,
+                                         checkpoint_sink=saved.append)
+        assert saved == []
+
+
+def _baseline_systems():
+    from repro.baseline.perfect import PerfectSystem
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.experiments.config import traditional_config
+
+    return {
+        "datascalar": lambda: DataScalarSystem(_config()),
+        "traditional": lambda: TraditionalSystem(traditional_config(4)),
+        "perfect": PerfectSystem,
+    }
+
+
+@pytest.mark.parametrize("kind", ["datascalar", "traditional", "perfect"])
+def test_resume_with_warmup_is_rejected(kind):
+    from repro.errors import SimulationError
+
+    make = _baseline_systems()[kind]
+    program = build_program("compress")
+    saved = []
+    make().run(program, limit=LIMIT, checkpoint_every=900,
+               checkpoint_sink=saved.append)
+    with pytest.raises(SimulationError, match="warmup"):
+        make().run(program, limit=LIMIT, resume_from=saved[0], warmup=300)
+
+
+@pytest.mark.parametrize("kind", ["datascalar", "traditional", "perfect"])
+def test_warmup_past_the_end_names_warmup(kind):
+    from repro.errors import SimulationError
+
+    make = _baseline_systems()[kind]
+    with pytest.raises(SimulationError, match="warmup=2001 runs past"):
+        make().run(build_program("compress"), limit=2000, warmup=2001)
+
+
+# ----------------------------------------------------------------------
+# The capture path: pickled snapshots, live edges left out.
+# ----------------------------------------------------------------------
+def test_live_pipeline_and_broadcaster_pickle_without_live_edges():
+    """A mid-run pipeline fed by a generator-backed fan-out view, with
+    hooks attached, pickles; exactly the live edges are dropped, and
+    the live objects are untouched."""
+    from repro.core.broadcast import Broadcaster
+    from repro.cpu.pipeline import Pipeline
+    from repro.baseline.perfect import PerfectMemory
+    from repro.interconnect.medium import make_medium
+    from repro.isa.fanout import fan_out
+    from repro.isa.interpreter import Interpreter
+    from repro.obs.tracer import EventTracer
+    from repro.params import CPUConfig
+
+    views = fan_out(Interpreter(build_program("compress")).trace(limit=500),
+                    2)
+    pipeline = Pipeline(CPUConfig(), PerfectMemory(), views[0])
+    pipeline.attach_tracer(EventTracer(), 0)
+    pipeline.attach_stage_accumulators(object())
+    for cycle in range(50):
+        pipeline.tick(cycle)
+    assert pipeline.stats.committed and not pipeline.done
+    assert pipeline._trace_queue is not None
+
+    edges = {"_trace", "_trace_next", "_trace_queue", "_tracer",
+             "_stage_accs"}
+    state = pipeline.__getstate__()
+    assert state.keys() == pipeline.__dict__.keys()
+    assert {name for name in state
+            if state[name] is not pipeline.__dict__[name]} == edges
+    assert all(state[name] is None for name in edges)
+    clone = pickle.loads(pickle.dumps(pipeline, pickle.HIGHEST_PROTOCOL))
+    assert all(getattr(clone, name) is None for name in edges)
+    assert clone.ruu.state_summary() == pipeline.ruu.state_summary()
+    assert clone.stats.committed == pipeline.stats.committed
+    assert pipeline._trace is views[0]
+
+    config = _config()
+    medium = make_medium(config.interconnect, config.bus, 2)
+    delivered = []
+    broadcaster = Broadcaster(0, medium, 2, 32,
+                              lambda *args: delivered.append(args))
+    broadcaster.attach_tracer(EventTracer())
+    broadcaster.broadcast(10, 0x40)
+    state = broadcaster.__getstate__()
+    assert state.keys() == broadcaster.__dict__.keys()
+    assert {name for name in state
+            if state[name] is not broadcaster.__dict__[name]} == {"_deliver",
+                                                                  "_tracer"}
+    clone = pickle.loads(pickle.dumps(broadcaster))
+    assert clone._deliver is None and clone._tracer is None
+    assert clone.stats.sent == 1
+    broadcaster.broadcast(20, 0x80)
+    assert len(delivered) == 2
+
+
+def test_resume_from_memory_and_from_pickle_match_straight_run():
+    config = _config()
+    program = build_program("compress")
+    straight = DataScalarSystem(config).run(program, limit=LIMIT)
+    ckpt = _checkpoints(config)[0]
+    # The in-memory checkpoint is resumed twice: resuming must not
+    # mutate it.
+    for resume in (ckpt, ckpt, pickle.loads(pickle.dumps(ckpt))):
+        resumed = DataScalarSystem(config).run(program, limit=LIMIT,
+                                               resume_from=resume)
+        assert result_fingerprint(resumed) == result_fingerprint(straight)
+
+
+class _CountingTrace:
+    """Test oracle: counts the records a consumer takes from a trace."""
+
+    def __init__(self, trace):
+        self._next = iter(trace).__next__
+        self.consumed = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        record = self._next()
+        self.consumed += 1
+        return record
+
+
+def _gshare(config):
+    import dataclasses
+
+    node = config.node
+    cpu = dataclasses.replace(node.cpu, branch_predictor="gshare")
+    return dataclasses.replace(config,
+                               node=dataclasses.replace(node, cpu=cpu))
+
+
+@pytest.mark.parametrize("predictor", ["perfect", "gshare"])
+@pytest.mark.parametrize("warmup", [0, 300])
+@pytest.mark.parametrize("kind", ["datascalar", "traditional", "perfect"])
+def test_frontend_position_matches_counting_oracle(kind, warmup, predictor,
+                                                   monkeypatch):
+    """Every checkpoint's ``consumed`` (derived from machine state) equals
+    what a counting wrapper around each trace saw, at capture time —
+    also after a resume, where the skipped-record base is re-derived."""
+    from repro.baseline.perfect import PerfectSystem
+    from repro.baseline.traditional import TraditionalSystem
+    from repro.experiments.config import traditional_config
+    from repro.isa.interpreter import Interpreter
+    from repro.params import CPUConfig
+
+    counters = []
+    if kind == "datascalar":
+        class System(DataScalarSystem):
+            def _make_traces(self, program, limit):
+                views = [_CountingTrace(view) for view in
+                         super()._make_traces(program, limit)]
+                counters[:] = views
+                return views
+
+        config = _config(4)
+        if predictor == "gshare":
+            config = _gshare(config)
+
+        def make():
+            return System(config)
+    else:
+        original = Interpreter.trace
+
+        def counted(self, limit=None):
+            counters[:] = [_CountingTrace(original(self, limit))]
+            return counters[0]
+
+        monkeypatch.setattr(Interpreter, "trace", counted)
+        if kind == "traditional":
+            config = traditional_config(4)
+            if predictor == "gshare":
+                config = _gshare(config)
+
+            def make():
+                return TraditionalSystem(config)
+        else:
+            cpu = CPUConfig(branch_predictor=predictor)
+
+            def make():
+                return PerfectSystem(cpu)
+
+    saved = []
+    checked = []
+
+    def sink(ckpt):
+        assert ckpt.consumed == [c.consumed for c in counters]
+        checked.append(ckpt.meta["boundary"])
+        saved.append(ckpt)
+
+    program = build_program("gcc")
+    kwargs = {"warmup": warmup} if warmup else {}
+    straight = make().run(program, limit=LIMIT, checkpoint_every=300,
+                          checkpoint_sink=sink, **kwargs)
+    assert len(checked) >= 5
+    assert checked[0] == 300 and saved[0].consumed[0] > warmup + 300
+    checked.clear()
+    resumed = make().run(program, limit=LIMIT, resume_from=saved[1],
+                         checkpoint_every=300, checkpoint_sink=sink)
+    assert checked and checked[0] == saved[2].meta["boundary"]
+    assert result_fingerprint(resumed) == result_fingerprint(straight)
+    if predictor == "gshare":
+        stats = {"datascalar": lambda r: r.nodes[0].pipeline,
+                 "traditional": lambda r: r.pipeline,
+                 "perfect": lambda r: r}[kind](straight)
+        assert stats.mispredicts > 0
+
+
 # ----------------------------------------------------------------------
 # ShardedRun: cold populates, warm resumes in parallel, both identical.
 # ----------------------------------------------------------------------

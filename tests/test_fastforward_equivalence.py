@@ -327,7 +327,7 @@ def test_checkpoint_restore_matches_straight_through(engine, faulty,
 
 def test_checkpoint_restore_baselines_match_straight_through():
     """The traditional and perfect baselines share the checkpoint
-    protocol (kind-tagged snapshots, CountingTrace replay)."""
+    protocol (kind-tagged snapshots, front-end replay)."""
     from repro.baseline.perfect import PerfectSystem
     from repro.baseline.traditional import TraditionalSystem
     from repro.experiments.config import traditional_config
