@@ -51,7 +51,7 @@ from ..obs import spans
 #: (:func:`repro.runner.digest.checkpoint_digest`), so cached blobs can
 #: never alias across format changes.  Bump when the ``state`` tree's
 #: shape changes.
-CHECKPOINT_VERSION = "2"
+CHECKPOINT_VERSION = "3"
 
 
 @dataclass

@@ -31,6 +31,7 @@ through each.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from heapq import heappop as _heappop, heappush as _heappush
 
 from ..errors import SimulationError
@@ -272,79 +273,106 @@ class Pipeline:
                 del pending[kept:]
 
         # ---- issue stage (oldest-ready first, up to issue_width) ----
-        # Skipping schedulable() when nothing can be ready is safe: on
-        # such cycles it returns [] and at most restamps the
-        # stalled-bucket retry cycle, which only requeue() reads — and
-        # requeues happen solely inside an issue pass, whose own
-        # schedulable() call restamps first.
+        # The walk _issue makes, over the RUU's stalled buckets in place:
+        # heap entries ready at ``now`` join the buckets, then loads and
+        # other classes are visited merged by age.  No load is visited
+        # once the load class is full, and the walk stops at
+        # issue_width; entries it does not issue stay in their buckets
+        # (the unvisited tails are never touched), so nothing goes
+        # through RUU.requeue.
         heap = ruu._ready_heap
-        stalled = ruu._stalled
-        if stalled:
-            if ruu._stalled_retry <= now or (heap and heap[0][0] <= now):
-                batch = ruu.schedulable(now)
-            else:
-                batch = None
-        elif heap and heap[0][0] <= now:
-            # Inlined RUU.schedulable for the common no-stalled case:
-            # restamp the retry cycle (requeues this pass land in the
-            # bucket), then drain the ready prefix.
+        loads = ruu._stalled_loads
+        others = ruu._stalled_other
+        if heap and heap[0][0] < now:
+            # A heap entry keyed before ``now`` (possible after a sleep)
+            # walks first, out of age order: take the staged walk.
+            self._issue(now)
+        elif loads or others or (heap and heap[0][0] == now):
             ruu._stalled_retry = nxt
-            batch = []
-            append = batch.append
-            while heap and heap[0][0] <= now:
+            while heap and heap[0][0] == now:
                 entry = _heappop(heap)[2]
-                if not entry.issued:
-                    append(entry)
-        else:
-            batch = None
-        if batch:
+                if entry.issued:
+                    continue
+                # Inlined RUU._stall (keep the bucket in age order):
+                bucket = loads if entry.is_load else others
+                if bucket and bucket[-1].seq > entry.seq:
+                    insort(bucket, entry, key=_entry_seq)
+                else:
+                    bucket.append(entry)
             fus = self.fus
             used = fus.begin_cycle(now)
             limits = fus.limit_table
             latencies = fus.latency_table
-            requeue = ruu.requeue
             width = self._issue_width
+            load_limit = limits[_LOAD]
+            # Visit loads[i] / others[j] next; the first ``kept_*`` slots
+            # of each bucket hold the visited entries that stay.
+            n_loads = len(loads) if used[_LOAD] < load_limit else 0
+            n_others = len(others)
+            i = j = kept_loads = kept_others = 0
             issued = 0
-            blocked = 0  # FU classes with no free slot left this cycle
-            for position, entry in enumerate(batch):
-                if issued >= width:
-                    for rest in batch[position:]:
-                        requeue(rest, nxt)
+            blocked = 0  # non-load FU classes with no free slot left
+            while issued < width:
+                if i < n_loads and (j >= n_others
+                                    or loads[i].seq < others[j].seq):
+                    entry = loads[i]
+                    i += 1
+                    used[_LOAD] += 1
+                    if used[_LOAD] >= load_limit:
+                        n_loads = i  # the load class is full
+                    blocker = entry.blocker
+                    if blocker is not None and blocker.seq < entry.seq \
+                            and not blocker.issued:
+                        # Parked (see _issue_load): a live memo implies
+                        # the store is still queued.
+                        if self._oracle:
+                            lsq.deferred += 1
+                    elif self._issue_load(entry, now):
+                        issued += 1
+                        continue
+                    loads[kept_loads] = entry
+                    kept_loads += 1
+                    continue
+                if j >= n_others:
                     break
+                entry = others[j]
+                j += 1
                 op_class = entry.op_class
                 class_bit = 1 << op_class
                 if blocked & class_bit:
-                    requeue(entry, nxt)
+                    others[kept_others] = entry
+                    kept_others += 1
                     continue
                 if used[op_class] >= limits[op_class]:
                     blocked |= class_bit
-                    requeue(entry, nxt)
+                    others[kept_others] = entry
+                    kept_others += 1
                     continue
                 used[op_class] += 1
-                if entry.is_load:
-                    if not self._issue_load(entry, now):
-                        continue
+                entry.issued = True
+                entry.issued_at = now
+                if entry.is_store:
+                    lsq._unissued_stores -= 1
+                    when = nxt
                 else:
-                    entry.issued = True
-                    entry.issued_at = now
-                    if entry.is_store:
-                        lsq._unissued_stores -= 1
-                        when = nxt
-                    else:
-                        when = now + latencies[op_class]
-                    # Inlined RUU.resolve (fixed-latency completion):
-                    entry.result_time = when
-                    dependents = entry.dependents
-                    if dependents:
-                        for dep in dependents:
-                            if when > dep.operand_time:
-                                dep.operand_time = when
-                            dep.unresolved -= 1
-                            if dep.unresolved == 0 and not dep.issued:
-                                _heappush(heap, (dep.operand_time,
-                                                 dep.seq, dep))
-                        entry.dependents = None
+                    when = now + latencies[op_class]
+                # Inlined RUU.resolve (fixed-latency completion):
+                entry.result_time = when
+                dependents = entry.dependents
+                if dependents:
+                    for dep in dependents:
+                        if when > dep.operand_time:
+                            dep.operand_time = when
+                        dep.unresolved -= 1
+                        if dep.unresolved == 0 and not dep.issued:
+                            _heappush(heap, (dep.operand_time,
+                                             dep.seq, dep))
+                    entry.dependents = None
                 issued += 1
+            if kept_loads != i:
+                del loads[kept_loads:i]
+            if kept_others != j:
+                del others[kept_others:j]
 
         # ---- fetch/dispatch stage (perfect branch prediction) ----
         redirect = self._redirect_after
@@ -560,6 +588,7 @@ class Pipeline:
                 continue
             if entry.is_load:
                 if not self._issue_load(entry, now):
+                    ruu.requeue(entry, now + 1)
                     continue
             elif entry.is_store:
                 self._issue_store(entry, now)
@@ -575,6 +604,8 @@ class Pipeline:
             self.ruu.requeue(entry, now + 1)
 
     def _issue_load(self, entry, now: int) -> bool:
+        """Issue load ``entry`` (its AGEN slot already claimed) or report
+        that it must wait; the caller keeps a waiting load queued."""
         lsq = self.lsq
         if lsq._stores:
             blocker = entry.blocker
@@ -585,7 +616,6 @@ class Pipeline:
                     # scan below would fail the same way.
                     if self._oracle:
                         lsq.deferred += 1
-                    self.ruu.requeue(entry, now + 1)
                     return False
                 entry.blocker = None
             if not self._oracle:
@@ -594,13 +624,11 @@ class Pipeline:
                 blocker = lsq.oldest_unissued_earlier_store(entry)
                 if blocker is not None:
                     entry.blocker = blocker
-                    self.ruu.requeue(entry, now + 1)
                     return False
             store, resolved = lsq.forwarding_store(entry)
             if not resolved:
                 # May not bypass an unissued same-address store; retry.
                 entry.blocker = store
-                self.ruu.requeue(entry, now + 1)
                 return False
             if store is not None:
                 entry.issued = True
@@ -810,43 +838,43 @@ class Pipeline:
                     return nxt  # fetch dispatches next cycle
         if self._trace_done and not window:
             return nxt  # drain handshake must run every cycle
-        if ruu._stalled and not self._bucket_parked():
+        if (ruu._stalled_loads or ruu._stalled_other) \
+                and not self._bucket_parked():
             return nxt
         return bound
 
     def _bucket_parked(self) -> bool:
-        """Dry-run the next issue walk over the stalled bucket (no heap
-        entry is ready before the bound, so the walk sees the bucket
+        """Dry-run the next issue walk over the stalled buckets (no heap
+        entry is ready before the bound, so the walk sees the buckets
         alone): True when every entry that would claim an FU slot is a
         load parked behind an unissued store.
 
         Such a walk issues nothing — a parked load claims its slot and
         then fails, so it still crowds younger loads out of the class
-        limit, and every other entry is requeued unchanged — and the
+        limit, and every other entry stays queued unchanged — and the
         state is frozen until the bound, so each cycle up to it walks
         identically.  The only trace of a walk is one ``lsq.deferred``
         bump per alias-blocked claimer (conservative-disambiguation
         stalls count nothing); that count is stashed for
         :meth:`note_skipped`.  Loads without a live blocker memo get one
         from a side-effect-free LSQ probe, exactly what ``_issue_load``
-        would record on its next attempt.
+        would record on its next attempt; the dry run probes them in the
+        walk's age order and stops where the walk would first issue.
         """
-        stalled = self.ruu._stalled
+        ruu = self.ruu
         limits = self.fus.limit_table
-        limit = limits[_LOAD]
-        if len(stalled) > limit:
-            # Only the oldest ``limit`` loads reach the FU check.
-            stalled = sorted(stalled, key=_entry_seq)
+        issuer = _INF  # age of the oldest non-load that would issue
+        for entry in ruu._stalled_other:
+            if limits[entry.op_class] > 0:
+                issuer = entry.seq
+                break
         lsq = self.lsq
         oracle = self._oracle
         claimed = 0
-        for entry in stalled:
-            if not entry.is_load:
-                if limits[entry.op_class] > 0:
-                    return False  # it would issue
-                continue
-            if claimed >= limit:
-                continue  # requeued without claiming a slot
+        # Only the oldest ``limit`` loads reach the FU check.
+        for entry in ruu._stalled_loads[:limits[_LOAD]]:
+            if entry.seq > issuer:
+                return False
             blocker = entry.blocker
             if blocker is None or blocker.seq > entry.seq \
                     or blocker.issued:
@@ -860,6 +888,8 @@ class Pipeline:
                     return False  # it would issue
                 entry.blocker = blocker
             claimed += 1
+        if issuer != _INF:
+            return False  # it would issue
         self._parked_deferred = claimed if oracle else 0
         return True
 
@@ -878,9 +908,10 @@ class Pipeline:
         stats = self.stats
         stats.cycles = stop
         ruu = self.ruu
-        if ruu._stalled:
-            # Each skipped tick re-walked the parked bucket: it restamped
-            # the retry cycle and re-deferred the alias-blocked loads.
+        if ruu._stalled_loads or ruu._stalled_other:
+            # Each skipped tick re-walked the parked buckets: it
+            # restamped the retry cycle and re-deferred the alias-blocked
+            # loads.
             ruu._stalled_retry = stop
             self.lsq.deferred += self._parked_deferred * cycles
         if self._redirect_after is not None:

@@ -10,7 +10,7 @@ Entry objects are recycled through a free list: :meth:`RUU.pop_head`
 returns the committed entry to the pool and :meth:`RUU.dispatch` reuses
 it for the next dispatched instruction.  This is safe because a
 committed entry can appear in no other structure — it was issued (so it
-sits in neither the ready heap nor the stalled bucket), resolved (so
+sits in neither the ready heap nor a stalled bucket), resolved (so
 ``dependents`` is ``None`` and it is not a pending load), and the
 ``_last_writer`` slot that may still name it is dropped at pop time
 (a committed producer's result time is always in the past, so the
@@ -24,6 +24,7 @@ every instruction still in the window.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import deque
 from heapq import heappush as _heappush
 
@@ -92,6 +93,14 @@ class RUU:
     an entry becomes *schedulable* once every producer's result time is
     known, at which point it enters the ready heap keyed by
     ``(operand_time, seq)`` — oldest-first among equally-ready entries.
+
+    Entries that fail to issue wait in one of two *stalled buckets*,
+    loads in one and every other class in the other, each kept in age
+    (``seq``) order from one cycle to the next.  The issue walk of the
+    fast tick (``Pipeline.tick``) reads them in place: it stops visiting
+    loads once the load class is full and leaves each unvisited tail
+    where it is, so a window full of parked loads costs a few visits per
+    cycle instead of one requeue per entry.
     """
 
     def __init__(self, capacity: int):
@@ -99,9 +108,11 @@ class RUU:
         self.window = deque()
         self._last_writer = {}
         self._ready_heap = []
-        #: Entries that failed to issue this cycle retry next cycle; they
-        #: all share the same key, so a plain list beats heap traffic.
-        self._stalled = []
+        #: Entries that failed to issue retry at ``_stalled_retry``; they
+        #: all share that key, so plain age-ordered lists beat heap
+        #: traffic.  Loads and the other classes are kept apart.
+        self._stalled_loads = []
+        self._stalled_other = []
         self._stalled_retry = -1
         #: Committed entries awaiting reuse (see module docstring).
         self._free = []
@@ -193,16 +204,23 @@ class RUU:
         Drained stalled entries sort under key ``now`` — the retry cycle
         dense ticking would have restamped on them — even when the
         pipeline slept through cycles with a parked bucket and the
-        recorded retry is older."""
-        stalled = None
-        if self._stalled and self._stalled_retry <= now:
-            stalled = self._stalled
-            self._stalled = []
-        if not self._stalled:
-            # Requeues during this cycle's issue pass land in the bucket.
-            self._stalled_retry = now + 1
+        recorded retry is older.  With both buckets empty and nothing
+        ready it returns ``[]`` untouched, as the fast tick skips its
+        issue stage then; the retry stamp is only read by requeues
+        within an issue pass, which restamps first."""
         heap = self._ready_heap
-        if stalled is not None:
+        loads = self._stalled_loads
+        others = self._stalled_other
+        if not (loads or others):
+            if not heap or heap[0][0] > now:
+                return []
+            self._stalled_retry = now + 1
+        elif self._stalled_retry <= now:
+            self._stalled_loads = []
+            self._stalled_other = []
+            # Requeues during this cycle's issue pass land in the buckets.
+            self._stalled_retry = now + 1
+            stalled = loads + others
             if heap and heap[0][0] <= now:
                 merged = [(now, entry.seq, entry) for entry in stalled]
                 while heap and heap[0][0] <= now:
@@ -225,16 +243,30 @@ class RUU:
         if not_before <= entry.operand_time:
             not_before = entry.operand_time + 1
         if not_before == self._stalled_retry:
-            self._stalled.append(entry)
+            self._stall(entry)
         else:
             heapq.heappush(self._ready_heap, (not_before, entry.seq, entry))
+
+    def _stall(self, entry: RUUEntry) -> None:
+        """Add ``entry`` to its stalled bucket, keeping age order.  An
+        entry older than the bucket's tail (a requeue from a walk that
+        began with heap entries keyed before its cycle) is inserted in
+        place.  ``Pipeline.tick`` inlines this for the ready-heap
+        entries that join the buckets."""
+        bucket = self._stalled_loads if entry.is_load else self._stalled_other
+        if bucket and bucket[-1].seq > entry.seq:
+            insort(bucket, entry, key=_entry_seq)
+        else:
+            bucket.append(entry)
 
     def state_summary(self) -> tuple:
         """Deterministic occupancy fingerprint for checkpoint summaries.
 
-        Covers the window and both issue queues but not the free list —
-        recycled entries are dead state, invisible to execution."""
-        return (len(self.window), len(self._ready_heap), len(self._stalled),
+        Covers the window, the ready heap and the stalled buckets (one
+        total) but not the free list — recycled entries are dead state,
+        invisible to execution."""
+        stalled = len(self._stalled_loads) + len(self._stalled_other)
+        return (len(self.window), len(self._ready_heap), stalled,
                 self._stalled_retry, len(self._last_writer),
                 self.window[0].seq if self.window else -1,
                 self.window[-1].seq if self.window else -1)

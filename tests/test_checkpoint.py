@@ -83,13 +83,19 @@ def test_boundary_summaries_match_between_dense_and_fast_forward(workload):
 
 
 def test_version_mismatch_refuses_restore():
+    """A foreign stamp, or "2" (the format that pickled the RUU with one
+    stalled bucket), must fail typed on restore, not run."""
     from repro.checkpoint import materialize
     from repro.errors import SimulationError
 
-    ckpt = _checkpoints(_config())[0]
-    ckpt.version = "incompatible"
-    with pytest.raises(SimulationError, match="format"):
-        materialize(ckpt)
+    for version in ("incompatible", "2"):
+        ckpt = _checkpoints(_config())[0]
+        ckpt.version = version
+        with pytest.raises(SimulationError, match=f"format '{version}'"):
+            materialize(ckpt)
+        with pytest.raises(SimulationError, match=f"format '{version}'"):
+            DataScalarSystem(_config()).run(build_program("compress"),
+                                            limit=LIMIT, resume_from=ckpt)
 
 
 def test_stop_after_emits_final_checkpoint_and_returns_none():

@@ -106,6 +106,94 @@ def test_parked_loads_match_dense_conservative_disambiguation():
     assert _snapshot(fast) == _snapshot(dense)
 
 
+# ----------------------------------------------------------------------
+# The issue walk: the fast tick walks the RUU's stalled buckets in place
+# (Pipeline.tick), the staged tick through RUU.schedulable and
+# RUU.requeue.  These rows run both on kernels and machine shapes whose
+# loads or other classes fill their FU slots, comparing each node's LSQ
+# counters and RUU occupancy as well as the result.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built_pipelines(monkeypatch):
+    """Every Pipeline constructed during the test, in order."""
+    from repro.cpu.pipeline import Pipeline
+
+    made = []
+    init = Pipeline.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Pipeline, "__init__", recording_init)
+    return made
+
+
+def _run_observed(system, program, built, staged=False):
+    """Result snapshot plus each node's final LSQ deferrals, forwards
+    and RUU state; ``staged`` records spans, which drives
+    ``Pipeline.tick_spanned``."""
+    from repro.obs.spans import SpanRecorder, recording
+
+    start = len(built)
+    if staged:
+        with recording(SpanRecorder()):
+            result = system.run(program, limit=LIMIT)
+    else:
+        result = system.run(program, limit=LIMIT)
+    pipelines = built[start:]
+    assert pipelines and all((p._stage_accs is not None) == staged
+                             for p in pipelines)
+    return _snapshot(result), [
+        (p.lsq.deferred, p.lsq.forwards, p.ruu.state_summary())
+        for p in pipelines]
+
+
+def _with_cpu(config, **changes):
+    cpu = dataclasses.replace(config.node.cpu, **changes)
+    return dataclasses.replace(
+        config, node=dataclasses.replace(config.node, cpu=cpu))
+
+
+@pytest.mark.parametrize("workload, oracle", [
+    ("tomcatv", True), ("applu", True), ("hydro2d", True),
+    ("tomcatv", False),
+], ids=["tomcatv", "applu", "hydro2d", "tomcatv-conservative"])
+def test_staged_tick_matches_fast_tick_on_blocked_classes(
+        workload, oracle, built_pipelines):
+    program = build_program(workload)
+    config = _with_cpu(_config(4, "bus"), oracle_disambiguation=oracle)
+    fast = _run_observed(DataScalarSystem(config), program,
+                         built_pipelines)
+    staged = _run_observed(DataScalarSystem(config), program,
+                           built_pipelines, staged=True)
+    assert staged == fast
+
+
+#: An issue-starved core: every FU class the kernels use can fill, and
+#: the 4-wide issue limit stops walks with entries still queued.
+NARROW_FU = {"AGEN": 2, "IALU": 2, "FADD": 1, "FMULT": 1}
+
+
+@pytest.mark.parametrize("num_nodes", [2, 4])
+@pytest.mark.parametrize("workload", ["tomcatv", "mgrid", "gcc"])
+def test_narrow_issue_matches_dense_selective_and_staged(
+        workload, num_nodes, built_pipelines):
+    program = build_program(workload)
+    base = _config(num_nodes, "bus")
+    config = _with_cpu(base, issue_width=4,
+                       fu_counts={**base.node.cpu.fu_counts, **NARROW_FU})
+    selective = _run_observed(DataScalarSystem(config), program,
+                              built_pipelines)
+    dense = _run_observed(
+        _DenseSystem(dataclasses.replace(config, fast_forward=False)),
+        program, built_pipelines)
+    staged = _run_observed(DataScalarSystem(config), program,
+                           built_pipelines, staged=True)
+    assert selective == dense
+    assert staged == selective
+
+
 def test_observer_forces_dense_and_sees_every_cycle():
     """An installed observer disables skipping: it must be called for
     cycles 0..N-1 with no gaps, and the result still matches."""
